@@ -129,13 +129,15 @@ func (n *Node) Query(ctx context.Context, req proto.QueryReq) (proto.QueryResp, 
 			break
 		}
 	}
-	if n.cfg.FixedQueryCost > 0 {
-		time.Sleep(n.cfg.FixedQueryCost)
-	}
-	if d := time.Duration(n.delay.Load()); d > 0 {
+	// The fixed cost and the injected delay both honour the caller's
+	// context: a cancelled (hedged-away) sub-query must not hold the
+	// node for the full sleep.
+	if wait := n.cfg.FixedQueryCost + time.Duration(n.delay.Load()); wait > 0 {
+		t := time.NewTimer(wait)
 		select {
-		case <-time.After(d):
+		case <-t.C:
 		case <-ctx.Done():
+			t.Stop()
 			n.canceled.Add(1)
 			return proto.QueryResp{}, ctx.Err()
 		}
@@ -211,13 +213,18 @@ func (n *Node) observeEpoch(e int) int {
 // is always accepted. Insert dedups by record ID with last-write-wins,
 // so re-delivery of the same records is a no-op — the idempotent-apply
 // half of the ingest pipeline's at-least-once contract.
+//
+// Put is the one way records enter a serving node (replica pushes,
+// corpus loads, ingest drains), so it is where each record's key
+// schedule is derived — once, on a copy of the batch and outside the
+// store lock — for every later scan to reuse.
 func (n *Node) Put(req proto.PutReq) (proto.PutResp, error) {
 	if req.Epoch > 0 {
 		if cur := n.observeEpoch(req.Epoch); req.Epoch < cur {
 			return proto.PutResp{}, &StaleEpochError{Got: req.Epoch, Current: cur}
 		}
 	}
-	n.store.Insert(req.Records...)
+	n.store.Insert(pps.PrepareKeys(req.Records)...)
 	return proto.PutResp{Stored: len(req.Records), Total: n.store.Len()}, nil
 }
 

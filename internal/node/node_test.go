@@ -137,6 +137,34 @@ func TestNodeThrottle(t *testing.T) {
 	}
 }
 
+// TestQueryFixedCostHonoursCancel: a cancelled (hedged-away) sub-query
+// stops waiting out FixedQueryCost at once and counts as canceled.
+func TestQueryFixedCostHonoursCancel(t *testing.T) {
+	enc := pps.NewEncoder(pps.TestKey(1), pps.EncoderConfig{
+		MaxKeywords: 2, MaxPathDir: 1,
+		SizePoints: pps.LinearPoints(0, 100, 2), DateDays: 365, DateSpan: 2,
+		RankBuckets: []int{1},
+	})
+	n, err := New(Config{Params: enc.ServerParams(), FixedQueryCost: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, _ := enc.EncryptQuery(pps.And, pps.Predicate{Kind: pps.Keyword, Word: "w"})
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	start := time.Now()
+	_, err = n.Query(ctx, proto.QueryReq{Lo: 0.5, Hi: 0.5, Q: q})
+	if err != context.Canceled {
+		t.Fatalf("cancelled query returned %v, want context.Canceled", err)
+	}
+	if el := time.Since(start); el > 10*time.Second {
+		t.Fatalf("cancelled query held the node for %v", el)
+	}
+	if st := n.Stats(); st.Canceled != 1 || st.Queries != 0 {
+		t.Fatalf("stats after cancel: canceled=%d queries=%d, want 1 and 0", st.Canceled, st.Queries)
+	}
+}
+
 func TestNodeServeRPC(t *testing.T) {
 	n, enc := testSetup(t)
 	srv, err := n.Serve("127.0.0.1:0")

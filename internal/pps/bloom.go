@@ -95,6 +95,10 @@ type BloomQuery struct {
 type BloomMetadata struct {
 	Nonce  []byte
 	Filter []byte // mBits/8 bytes
+
+	// key is Nonce's precomputed key schedule, set only by PrepareKeys
+	// on a serving node's own copy (nil elsewhere). Never serialized.
+	key *NonceKey
 }
 
 // Bytes returns the wire size of the metadata, used by the bandwidth

@@ -47,6 +47,7 @@ func (e *Encoded) UnmarshalBinary(b []byte) error {
 	if len(b) < 14 {
 		return fmt.Errorf("pps: encoded record too short (%d bytes)", len(b))
 	}
+	e.key = nil // a reused decode target must not keep the old nonce's key
 	e.ID = binary.BigEndian.Uint64(b)
 	off := 8
 	nl := int(binary.BigEndian.Uint16(b[off:]))

@@ -20,18 +20,37 @@ package pps
 //     since Go 1.24), the kernel checkpoints the state *after* absorbing
 //     the pad block and restores it per evaluation, halving the SHA-256
 //     compressions for short inputs (2 instead of 4).
+//   - A record's nonce never changes once stored, so a serving node
+//     derives each record's key schedule once, at Put (PrepareKeys),
+//     and matching loads it with loadKey — a 64-byte copy — instead of
+//     re-keying with setKey on every query. Records without a prepared
+//     key (frontend, coordinator and WAL copies, the MatchOne and
+//     MatchFile paths) are re-keyed per record exactly as before.
 //
 // A kernel is NOT safe for concurrent use; embed one per Run (matching)
 // or per pooled encode state (EncryptMetadata).
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding"
 	"encoding/binary"
 	"hash"
+	"sync"
 )
 
 const prfBlockSize = sha256.BlockSize // 64
+
+// The marshalled crypto/sha256 state is a 4-byte magic, the eight
+// 32-bit chaining words, the 64-byte block buffer and the 8-byte
+// message length. Just after a whole pad block the buffer is empty and
+// the length is 64, so two post-pad states differ only in the chaining
+// words at [shaChainOff, shaChainOff+sha256.Size). nonceKeysWork checks
+// this layout once at run time.
+const (
+	shaChainOff = 4
+	shaStateLen = shaChainOff + sha256.Size + prfBlockSize + 8
+)
 
 // prfKernel is a reusable HMAC-SHA-256 evaluator for one key at a time.
 // The zero value is not usable; call init (or reset via setKey) first.
@@ -46,6 +65,11 @@ type prfKernel struct {
 	innerSaved, outerSaved []byte
 	canSave                bool
 	keyed                  bool
+
+	// loadedNonce is the key of the last loadKey, whose ipad/opad were
+	// not derived; the pad-replay fallback re-derives them from it.
+	loadedNonce []byte
+	padsStale   bool
 }
 
 func (k *prfKernel) init() {
@@ -89,6 +113,89 @@ func (k *prfKernel) setKey(key []byte) {
 		k.outerSaved = k.saveState(k.outer, k.outerSaved)
 	}
 	k.keyed = true
+	k.padsStale = false
+}
+
+// loadKey keys the kernel for nonce from its prepared schedule nk by
+// patching the chaining words of the post-pad checkpoints. It needs a
+// checkpoint template from an earlier setKey and reports false (kernel
+// untouched) without one or when checkpointing is off; the caller then
+// re-keys with setKey.
+func (k *prfKernel) loadKey(nk *NonceKey, nonce []byte) bool {
+	if !k.hasPadStates() {
+		return false
+	}
+	copy(k.innerSaved[shaChainOff:], nk.inner[:])
+	copy(k.outerSaved[shaChainOff:], nk.outer[:])
+	k.loadedNonce = nonce
+	k.padsStale = true
+	return true
+}
+
+// NonceKey is a record's precomputed HMAC-SHA-256 key schedule: the
+// SHA-256 chaining values after absorbing ipad⊕nonce and opad⊕nonce.
+// It is derived only from the public nonce, is never serialized, and
+// is immutable once built.
+type NonceKey struct {
+	inner, outer [sha256.Size]byte
+}
+
+// fillNonceKey keys the kernel with nonce and copies the chaining words
+// of its post-pad checkpoints into nk. It reports false when the
+// checkpoints do not have the layout loadKey patches.
+func (k *prfKernel) fillNonceKey(nk *NonceKey, nonce []byte) bool {
+	k.setKey(nonce)
+	if !k.hasPadStates() {
+		return false
+	}
+	copy(nk.inner[:], k.innerSaved[shaChainOff:])
+	copy(nk.outer[:], k.outerSaved[shaChainOff:])
+	return true
+}
+
+// hasPadStates reports whether the kernel holds post-pad checkpoints of
+// the marshalled size loadKey patches.
+func (k *prfKernel) hasPadStates() bool {
+	return k.canSave && len(k.innerSaved) == shaStateLen && len(k.outerSaved) == shaStateLen
+}
+
+// nonceKeysWork checks once that a patched checkpoint evaluates to the
+// reference HMAC, so a change in the linked SHA-256's state encoding
+// disables prepared keys instead of corrupting matches.
+var nonceKeysWork = sync.OnceValue(func() bool {
+	var k prfKernel
+	k.init()
+	var nk NonceKey
+	a, b := []byte("nonce-key-probe-a"), []byte("nonce-key-probe-b")
+	if !k.fillNonceKey(&nk, a) {
+		return false
+	}
+	k.setKey(b)
+	data := []byte("nonce-key-probe-data")
+	var out [sha256.Size]byte
+	return k.loadKey(&nk, a) && bytes.Equal(k.sumInto(data, out[:0]), prf(a, data)) && k.canSave
+})
+
+// PrepareKeys returns a copy of recs in which every record carries its
+// precomputed key schedule, so Run.Match loads it instead of re-keying.
+// recs itself is left untouched. When prepared keys are unavailable it
+// returns recs unchanged; matching then re-keys per record.
+func PrepareKeys(recs []Encoded) []Encoded {
+	if len(recs) == 0 || !nonceKeysWork() {
+		return recs
+	}
+	out := make([]Encoded, len(recs))
+	var k prfKernel
+	k.init()
+	for i := range recs {
+		nk := new(NonceKey)
+		if !k.fillNonceKey(nk, recs[i].Nonce) {
+			nk = nil
+		}
+		out[i] = recs[i]
+		out[i].key = nk
+	}
+	return out
 }
 
 // saveState checkpoints h into buf (reusing its capacity). A marshal
@@ -119,6 +226,9 @@ func (k *prfKernel) sumInto(data []byte, out []byte) []byte {
 		// Restore failed (foreign hash implementation): fall through to
 		// the replay path and stop checkpointing.
 		k.canSave = false
+	}
+	if k.padsStale {
+		k.setKey(k.loadedNonce)
 	}
 	k.inner.Reset()
 	k.inner.Write(k.ipad[:])

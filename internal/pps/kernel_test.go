@@ -161,33 +161,38 @@ func TestMatchBatchMatchesMatch(t *testing.T) {
 
 // TestMatchSteadyStateZeroAlloc is the acceptance gate: once the
 // predicate order settles, matching a record performs no heap
-// allocations.
+// allocations, whether the record is re-keyed from its nonce or carries
+// a prepared key.
 func TestMatchSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts only meaningful without -race")
 	}
-	m, q, mds := kernelCorpus(t, SelectivitySamples+64, 3)
-	run := m.NewRun(q)
-	for i := 0; i < SelectivitySamples; i++ {
-		run.Match(mds[i%len(mds)].BloomMetadata)
-	}
-	if run.Order() == nil {
-		t.Fatal("order did not settle")
-	}
-	steady := mds[SelectivitySamples:]
-	out := make([]uint64, 0, len(steady))
-	allocs := testing.AllocsPerRun(50, func() {
-		out = run.MatchBatch(steady, out[:0])
-	})
-	if allocs != 0 {
-		t.Fatalf("settled-order MatchBatch allocates %.1f objects per scan, want 0", allocs)
+	m, q, raw := kernelCorpus(t, SelectivitySamples+64, 3)
+	for name, mds := range map[string][]Encoded{"raw": raw, "prepared": PrepareKeys(raw)} {
+		run := m.NewRun(q)
+		for i := 0; i < SelectivitySamples; i++ {
+			run.Match(mds[i%len(mds)].BloomMetadata)
+		}
+		if run.Order() == nil {
+			t.Fatalf("%s: order did not settle", name)
+		}
+		steady := mds[SelectivitySamples:]
+		out := make([]uint64, 0, len(steady))
+		allocs := testing.AllocsPerRun(50, func() {
+			out = run.MatchBatch(steady, out[:0])
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: settled-order MatchBatch allocates %.1f objects per scan, want 0", name, allocs)
+		}
 	}
 }
 
 // BenchmarkMatchKernel compares the pre-change matching kernel (generic
 // crypto/hmac per hash evaluation, as MatchOne still does) against the
-// reusable zero-allocation kernel, both in the settled-order steady
-// state. Run with -benchmem; compare sub-benchmarks with benchstat.
+// reusable zero-allocation kernel re-keyed per record ("kernel") and
+// the same kernel over records carrying prepared keys, as a serving
+// node stores them ("prepared"), all in the settled-order steady state.
+// Run with -benchmem; compare sub-benchmarks with benchstat.
 func BenchmarkMatchKernel(b *testing.B) {
 	m, q, mds := kernelCorpus(b, SelectivitySamples+1024, 3)
 	steady := mds[SelectivitySamples:]
@@ -220,21 +225,26 @@ func BenchmarkMatchKernel(b *testing.B) {
 		}
 		b.ReportMetric(float64(matched)/float64(b.N), "hit-rate")
 	})
-	b.Run("kernel", func(b *testing.B) {
-		run := m.NewRun(q)
-		for i := 0; i < SelectivitySamples; i++ {
-			run.Match(mds[i].BloomMetadata)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		matched := 0
-		for i := 0; i < b.N; i++ {
-			if run.Match(steady[i%len(steady)].BloomMetadata) {
-				matched++
+	kernel := func(recs []Encoded) func(b *testing.B) {
+		return func(b *testing.B) {
+			run := m.NewRun(q)
+			for i := 0; i < SelectivitySamples; i++ {
+				run.Match(recs[i].BloomMetadata)
 			}
+			steady := recs[SelectivitySamples:]
+			b.ReportAllocs()
+			b.ResetTimer()
+			matched := 0
+			for i := 0; i < b.N; i++ {
+				if run.Match(steady[i%len(steady)].BloomMetadata) {
+					matched++
+				}
+			}
+			b.ReportMetric(float64(matched)/float64(b.N), "hit-rate")
 		}
-		b.ReportMetric(float64(matched)/float64(b.N), "hit-rate")
-	})
+	}
+	b.Run("kernel", kernel(mds))
+	b.Run("prepared", kernel(PrepareKeys(mds)))
 }
 
 // BenchmarkEncryptMetadata measures the write-side path the pooled

@@ -41,8 +41,9 @@ func NewMatcher(p ServerParams) (*Matcher, error) {
 }
 
 // MatchOne evaluates a single predicate. One-shot convenience: it pays
-// a fresh HMAC key schedule per hash evaluation. Batch callers should
-// use a Run, whose kernel amortises keying per record.
+// a fresh HMAC key schedule per hash evaluation and ignores any
+// prepared key. Batch callers should use a Run, whose kernel keys once
+// per record, or not at all for records prepared by PrepareKeys.
 func (m *Matcher) MatchOne(q BloomQuery, md BloomMetadata) bool {
 	return matchBloomBits(m.mBits, q, md)
 }
@@ -58,11 +59,12 @@ const SelectivitySamples = 225
 // afterwards predicates are sorted (most selective first for AND, least
 // selective first for OR) and evaluation short-circuits.
 //
-// Run owns a reusable PRF kernel, re-keyed once per record by the record
-// nonce, so the settled-order steady state performs zero heap
-// allocations per record. Run is not safe for concurrent use; create
-// one per matching thread and merge results, or share one behind the
-// store's batching.
+// Run owns a reusable PRF kernel. For a record carrying a prepared key
+// (PrepareKeys) the kernel loads that key schedule; otherwise it is
+// re-keyed from the record nonce. Either way the settled-order steady
+// state performs zero heap allocations per record. Run is not safe for
+// concurrent use; create one per matching thread and merge results, or
+// share one behind the store's batching.
 type Run struct {
 	m       *Matcher
 	q       Query
@@ -86,7 +88,7 @@ func (r *Run) Sampled() int { return r.sampled }
 func (r *Run) Order() []int { return r.order }
 
 // evalPred checks one predicate against the record the kernel is
-// currently keyed for (setKey(md.Nonce) must precede it).
+// currently keyed for (Match keys it per record first).
 func (r *Run) evalPred(q BloomQuery, filter []byte) bool {
 	mBits := uint64(r.m.mBits)
 	for _, x := range q.Trapdoor {
@@ -102,7 +104,9 @@ func (r *Run) Match(md BloomMetadata) bool {
 	if len(r.q.Preds) == 0 {
 		return false
 	}
-	r.prf.setKey(md.Nonce)
+	if md.key == nil || !r.prf.loadKey(md.key, md.Nonce) {
+		r.prf.setKey(md.Nonce)
+	}
 	if len(r.q.Preds) == 1 {
 		return r.evalPred(r.q.Preds[0], md.Filter)
 	}

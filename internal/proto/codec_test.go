@@ -183,6 +183,33 @@ func TestBinaryQueryReqBytesPerOp(t *testing.T) {
 	}
 }
 
+// TestPreparedRecordsEncodeIdentically: a node-side prepared key
+// schedule never reaches the wire — the binary and JSON PutReq
+// encodings are byte-identical for prepared and unprepared copies of
+// the same records (pps tests cover Encoded.MarshalBinary).
+func TestPreparedRecordsEncodeIdentically(t *testing.T) {
+	raw := testRecords(8)
+	prepared := pps.PrepareKeys(raw)
+	if reflect.DeepEqual(raw, prepared) {
+		t.Fatal("PrepareKeys attached no keys; the comparison would be vacuous")
+	}
+	a, b := PutReq{Records: raw, Epoch: 3}, PutReq{Records: prepared, Epoch: 3}
+	if string(a.AppendWire(nil)) != string(b.AppendWire(nil)) {
+		t.Fatal("binary PutReq differs for prepared records")
+	}
+	ja, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(ja) != string(jb) {
+		t.Fatalf("JSON PutReq differs for prepared records:\n%s\n%s", ja, jb)
+	}
+}
+
 // TestBinaryPutReqSize: replica pushes shrink too — raw nonce/filter vs
 // base64 (a 4/3 tax on the dominant filter bytes) plus varint ids vs
 // decimal strings and per-record JSON keys bound the ratio at ~70%.
